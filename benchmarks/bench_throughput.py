@@ -66,10 +66,11 @@ CONFIGS = {
 
 # -- replay-engine configurations --------------------------------------------
 # The drive() loop measures raw cache-op cost (RNG included).  The
-# replay-* labels measure the simulator's replay engines on the same
-# workload pre-generated as a columnar trace: scalar loop, vectorized
-# derive pass, and the key-sharded parallel engine — all against the
-# pama+bloom cache, the heaviest tracked configuration.
+# replay-* labels measure the simulator on the same workload
+# pre-generated as a columnar trace: the replay engine (label
+# ``replay-derive``, after its vectorized derive pass) and the
+# key-sharded parallel engine — both against the pama+bloom cache, the
+# heaviest tracked configuration.
 
 #: shard count of the ``replay-sharded4`` label.
 REPLAY_SHARDS = 4
@@ -108,14 +109,9 @@ def replay_spec(cache_bytes=16 * MIB) -> ExperimentSpec:
                                                   "tracker": "bloom"}})
 
 
-def replay_scalar(trace) -> None:
-    cache = replay_spec().build_cache("pama")
-    simulate(trace, cache, window_gets=1 << 30, derive=False)
-
-
 def replay_derive(trace) -> None:
     cache = replay_spec().build_cache("pama")
-    simulate(trace, cache, window_gets=1 << 30, derive=True)
+    simulate(trace, cache, window_gets=1 << 30)
 
 
 def replay_sharded(trace) -> None:
@@ -125,7 +121,6 @@ def replay_sharded(trace) -> None:
 #: replay-engine labels tracked in BENCH_throughput.json, mapping to a
 #: whole-replay callable over a :func:`make_bench_trace` trace.
 REPLAY_ENGINES = {
-    "replay-scalar": replay_scalar,
     "replay-derive": replay_derive,
     f"replay-sharded{REPLAY_SHARDS}": replay_sharded,
 }
@@ -153,8 +148,6 @@ def bench_pama_bloom_throughput(benchmark):
     assert result.stats.gets == N_OPS
 
 
-@pytest.mark.parametrize("engine", ["replay-scalar", "replay-derive"])
-def bench_replay_engine_throughput(benchmark, engine):
+def bench_replay_engine_throughput(benchmark):
     trace = make_bench_trace(N_OPS)
-    benchmark.pedantic(lambda: REPLAY_ENGINES[engine](trace),
-                       rounds=3, iterations=1)
+    benchmark.pedantic(lambda: replay_derive(trace), rounds=3, iterations=1)

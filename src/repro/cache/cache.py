@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro import obs as _obs
 from repro._util import fmt_bytes
-from repro.bloom.hashing import PAIR_SEED_DELTA, hash_key
+from repro.bloom.hashing import hash_pair
 from repro.cache.errors import (InvalidItemError, ItemTooLargeError,
                                 OutOfMemoryError, PolicyError)
 from repro.cache.item import Item
@@ -77,7 +77,7 @@ class SlabCache:
         #: hash-once: when the policy probes Bloom filters on the access
         #: path, the cache computes the key's base hash pair per request
         #: and threads it through the policy callbacks.
-        self._wants_hashes = bool(getattr(policy, "wants_key_hashes", False))
+        self._wants_hashes = policy.wants_key_hashes
 
     def attach_obs(self, registry, events=None) -> None:
         """Attach a metrics registry (and optional event trace).
@@ -170,106 +170,47 @@ class SlabCache:
         miss accounting and the service-time statistics.  A real server
         calls ``get(key)`` plain and penalties are accounted on the
         subsequent fill SET instead.
-
-        This is the compatibility wrapper; :meth:`lookup` is the same
-        operation with scalar arguments (no tuple to build or unpack on
-        the replay hot path).
         """
+        # Hash-once: the request's base pair, for every Bloom probe
+        # downstream; (0, 0) when the policy probes no filters.
+        h1, h2 = hash_pair(key) if self._wants_hashes else (0, 0)
         if miss_info is None:
-            return self.lookup(key, -1, 0, math.nan)
+            return self.lookup_hashed(key, -1, 0, math.nan, h1, h2, -1, 0)
         key_size, value_size, penalty = miss_info
-        return self.lookup(key, key_size, value_size, penalty)
+        return self.lookup_hashed(key, key_size, value_size, penalty,
+                                  h1, h2, -2, -1)
 
     def lookup(self, key: object, key_size: int, value_size: int,
                penalty: float) -> Item | None:
-        """GET with scalar miss accounting — the replay engine hot path.
+        """:meth:`get` with scalar miss details (no tuple to build).
 
         ``key_size < 0`` means "miss details unknown" (the plain
         ``get(key)`` server path): the miss is counted but no per-queue
-        miss accounting happens.  Behaviour is identical to
-        :meth:`get`; only the calling convention differs.
+        miss accounting happens.
         """
-        self.accesses += 1
-        stats = self.stats
-        stats.gets += 1
-        if self._wants_hashes:
-            # Hash-once: the single place a request's key meets the hash
-            # function; every Bloom probe downstream reuses this pair.
-            h1 = hash_key(key, 0)
-            h2 = hash_key(key, PAIR_SEED_DELTA) | 1
-        else:
-            h1 = h2 = 0
-        self._in_operation = True
-        try:
-            item = self.index.get(key)
-            if item is not None and item.expires_at \
-                    and self.clock() >= item.expires_at:
-                self._unlink(item)
-                stats.expired += 1
-                if self.obs is not None:
-                    self._c_expired.inc()
-                item = None
-            if item is not None:
-                queue = self.queues[(item.class_idx, item.bin_idx)]
-                qstats = queue.stats
-                qstats.gets += 1
-                qstats.hits += 1
-                stats.hits += 1
-                if self.obs is not None:
-                    self._c_gets.inc()
-                    self._c_hits.inc()
-                self.policy.on_hit(queue, item, h1, h2)
-                queue.lru.move_to_front(item)
-                item.last_access = self.accesses
-                return item
-            # miss
-            stats.misses += 1
-            if self.obs is not None:
-                self._c_gets.inc()
-                self._c_misses.inc()
-            class_idx = -1
-            if key_size >= 0:
-                try:
-                    class_idx = self.size_classes.class_for_size(
-                        key_size + value_size)
-                except ItemTooLargeError:
-                    class_idx = -1
-                if penalty == penalty:  # not NaN
-                    stats.total_miss_penalty += penalty
-                bin_idx = (self.policy.bin_for(penalty)
-                           if penalty == penalty else 0)
-                if class_idx >= 0:
-                    q = self.queue_for(class_idx, bin_idx)
-                    q.stats.gets += 1
-                    q.stats.misses += 1
-            self.policy.on_miss(key, class_idx, penalty, h1, h2)
-            return None
-        finally:
-            self._in_operation = False
-            if self._pending_migrations:
-                self._flush_migrations()
+        h1, h2 = hash_pair(key) if self._wants_hashes else (0, 0)
+        return self.lookup_hashed(key, key_size, value_size, penalty,
+                                  h1, h2, -2, -1)
 
     def lookup_hashed(self, key: object, key_size: int, value_size: int,
                       penalty: float, h1: int, h2: int,
                       class_idx: int, bin_idx: int) -> Item | None:
-        """:meth:`lookup` with the derived columns precomputed.
+        """The GET body, with the per-request derived values supplied.
 
-        The derive pass (:mod:`repro.sim.derive`) supplies per-request
-        values this method would otherwise compute:
+        The replay engine precomputes them per window
+        (:mod:`repro.sim.derive`); :meth:`get` and :meth:`lookup` pass
+        the sentinels that make this method compute them on a miss:
 
         * ``(h1, h2)`` — the key's base hash pair (``0, 0`` when the
-          policy does not want hashes, exactly like :meth:`lookup`);
+          policy does not want hashes);
         * ``class_idx`` — the size class for ``key_size + value_size``;
           ``-1`` when the item is too large or ``key_size < 0``, ``-2``
-          when the sizes are invalid (non-positive) and the scalar
-          path's :class:`InvalidItemError` must be re-raised;
-        * ``bin_idx`` — ``policy.bin_for(penalty)``, valid only for
-          policies with static :meth:`~repro.policies.base.AllocationPolicy.bin_edges`;
-          ``-1`` re-dispatches to ``bin_for`` (NaN/negative penalties,
-          so invalid input raises exactly where the scalar path does).
-
-        Behaviour is identical to :meth:`lookup`; only the computation
-        is hoisted out of the per-request path.
+          to call ``class_for_size`` here (so invalid sizes raise
+          :class:`InvalidItemError` on the miss path, after the GET is
+          counted);
+        * ``bin_idx`` — ``policy.bin_for(penalty)``; ``-1`` calls
+          ``bin_for`` here (dynamic binning, or a NaN/negative penalty
+          that must raise exactly where a per-request call raises).
         """
         self.accesses += 1
         stats = self.stats
@@ -304,8 +245,11 @@ class SlabCache:
                 self._c_misses.inc()
             if key_size >= 0:
                 if class_idx == -2:
-                    # invalid sizes: raise the scalar path's error
-                    self.size_classes.class_for_size(key_size + value_size)
+                    try:
+                        class_idx = self.size_classes.class_for_size(
+                            key_size + value_size)
+                    except ItemTooLargeError:
+                        class_idx = -1
                 if penalty == penalty:  # not NaN
                     stats.total_miss_penalty += penalty
                     if bin_idx < 0:
@@ -339,58 +283,26 @@ class SlabCache:
                 f"invalid sizes key={key_size} value={value_size}")
         if not (penalty >= 0):  # catches NaN and negatives
             raise InvalidItemError(f"penalty must be >= 0, got {penalty}")
-        self.accesses += 1
         try:
             class_idx = self.size_classes.class_for_size(key_size + value_size)
         except ItemTooLargeError:
+            self.accesses += 1
             self.stats.rejected_too_large += 1
             return False
-
-        self._in_operation = True
-        try:
-            old = self.index.get(key)
-            if old is not None:
-                self._unlink(old)
-
-            bin_idx = self.policy.bin_for(penalty)
-            queue = self.queue_for(class_idx, bin_idx)
-            item = Item(key, key_size, value_size, penalty, class_idx,
-                        bin_idx, value, expires_at)
-            try:
-                self._ensure_slot(queue)
-            except OutOfMemoryError:
-                self.stats.set_failures += 1
-                if self.obs is not None:
-                    self._c_set_failures.inc()
-                return False
-            queue.lru.push_front(item)
-            item.last_access = self.accesses
-            self.cas_tick += 1
-            item.cas = self.cas_tick
-            self.index[key] = item
-            queue.stats.sets += 1
-            self.stats.sets += 1
-            if self.obs is not None:
-                self._c_sets.inc()
-            self.policy.on_insert(queue, item)
-            return True
-        finally:
-            self._in_operation = False
-            if self._pending_migrations:
-                self._flush_migrations()
+        return self.set_classed(key, key_size, value_size, penalty,
+                                class_idx, -1, value, expires_at)
 
     def set_classed(self, key: object, key_size: int, value_size: int,
-                    penalty: float, class_idx: int, bin_idx: int) -> bool:
-        """:meth:`set` with the size class and penalty bin precomputed.
+                    penalty: float, class_idx: int, bin_idx: int,
+                    value: object = None, expires_at: float = 0.0) -> bool:
+        """The SET body, for input :meth:`set` has validated.
 
-        The derive pass only takes this path for rows it proved valid
-        (``class_idx >= 0`` and ``bin_idx >= 0``): sizes positive and
-        within the largest class, penalty finite and non-negative —
-        precisely the checks :meth:`set` performs before computing the
-        same two values.  Rows with any sentinel fall back to
-        :meth:`set` so invalid input raises (or rejects) exactly as the
-        scalar path would.  No ``value``/``expires_at``: trace replay
-        stores size-only items.
+        ``class_idx`` is the item's size class (it fits the largest
+        class); ``bin_idx`` is ``policy.bin_for(penalty)``, or ``-1`` to
+        call ``bin_for`` here.  The replay engine calls this directly
+        for rows the derive pass proved valid; any other row goes
+        through :meth:`set` so invalid input raises (or rejects)
+        exactly as before.
         """
         self.accesses += 1
         self._in_operation = True
@@ -399,9 +311,11 @@ class SlabCache:
             if old is not None:
                 self._unlink(old)
 
+            if bin_idx < 0:
+                bin_idx = self.policy.bin_for(penalty)
             queue = self.queue_for(class_idx, bin_idx)
             item = Item(key, key_size, value_size, penalty, class_idx,
-                        bin_idx)
+                        bin_idx, value, expires_at)
             try:
                 self._ensure_slot(queue)
             except OutOfMemoryError:

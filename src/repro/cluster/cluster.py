@@ -142,38 +142,41 @@ class CacheCluster:
         return self.nodes[self.ring.node_for(key)]
 
     # -- cache surface (simulator-compatible) --------------------------------
+    def _route(self, key: object, op, default, op_name: str):
+        """Run ``op`` on ``key``'s node: directly, or through the
+        resilient path when a fault injector is attached."""
+        if self.faults is None:
+            return op(self.node_for(key))
+        return self._routed(key, op, default, op_name)
+
     def get(self, key: object,
             miss_info: tuple[int, int, float] | None = None) -> Item | None:
-        if self.faults is None:
-            return self.node_for(key).get(key, miss_info)
-        return self._routed(key,
-                            lambda node: node.get(key, miss_info), None,
-                            "get")
+        return self._route(key, lambda node: node.get(key, miss_info), None,
+                           "get")
 
-    def lookup(self, key: object, key_size: int, value_size: int,
-               penalty: float) -> Item | None:
-        """Scalar GET fast path, mirroring :meth:`SlabCache.lookup`."""
-        if self.faults is None:
-            return self.node_for(key).lookup(key, key_size, value_size,
-                                             penalty)
-        return self._routed(
-            key, lambda node: node.lookup(key, key_size, value_size, penalty),
+    def lookup_hashed(self, key: object, key_size: int, value_size: int,
+                      penalty: float, h1: int, h2: int,
+                      class_idx: int, bin_idx: int) -> Item | None:
+        """Routed :meth:`SlabCache.lookup_hashed` (the replay engine's GET)."""
+        return self._route(key, lambda node: node.lookup_hashed(
+            key, key_size, value_size, penalty, h1, h2, class_idx, bin_idx),
             None, "get")
 
     def set(self, key: object, key_size: int, value_size: int,
             penalty: float, value: object = None) -> bool:
-        if self.faults is None:
-            return self.node_for(key).set(key, key_size, value_size, penalty,
-                                          value)
-        return self._routed(
-            key, lambda node: node.set(key, key_size, value_size, penalty,
-                                       value), False, "set")
+        return self._route(key, lambda node: node.set(
+            key, key_size, value_size, penalty, value), False, "set")
+
+    def set_classed(self, key: object, key_size: int, value_size: int,
+                    penalty: float, class_idx: int, bin_idx: int) -> bool:
+        """Routed :meth:`SlabCache.set_classed` (the replay engine's SET)."""
+        return self._route(key, lambda node: node.set_classed(
+            key, key_size, value_size, penalty, class_idx, bin_idx),
+            False, "set")
 
     def delete(self, key: object) -> bool:
-        if self.faults is None:
-            return self.node_for(key).delete(key)
-        return self._routed(key, lambda node: node.delete(key), False,
-                            "delete")
+        return self._route(key, lambda node: node.delete(key), False,
+                           "delete")
 
     # -- resilient routing ----------------------------------------------------
     def _sync_restart(self, name: str, tick: int) -> None:

@@ -5,8 +5,9 @@ with small space overhead.  We use one Bloom filter for each reference
 segment. ... we set up a Bloom filter, called a removal filter, to
 track the items that have been recently removed out of the segments."
 
-Filters are rebuilt from the live stack bottom once per rebuild
-interval; between rebuilds, accesses are answered from the filters with
+Filters are rebuilt from the live stack bottom once per value window
+(at :class:`~repro.core.pama.PamaPolicy`'s window rollover); between
+rebuilds, accesses are answered from the filters with
 the removal filter masking items that were promoted out.  This is an
 approximation (items drifting *into* segments between rebuilds are
 invisible until the next rebuild), which is exactly the trade-off the
@@ -34,10 +35,10 @@ class BloomSegmentTracker:
     """Drop-in alternative to :class:`~repro.core.segments.SegmentTracker`."""
 
     __slots__ = ("lru", "seg_len", "num_segments", "filters", "removal",
-                 "rebuilds", "queries", "false_region_hits")
+                 "rebuilds", "queries")
 
     def __init__(self, lru: LRUList, seg_len: int, num_segments: int,
-                 fp_rate: float = 0.01, seed: int = 0) -> None:
+                 fp_rate: float = 0.01) -> None:
         if seg_len <= 0 or num_segments <= 0:
             raise ValueError("seg_len and num_segments must be positive")
         if lru.observer is not None:
@@ -47,15 +48,13 @@ class BloomSegmentTracker:
         self.num_segments = num_segments
         # All filters hash with seed 0: probes use the request-level
         # hash pair the cache computes once, and the key-based filter
-        # API must agree with it bit-for-bit.  (``seed`` is accepted for
-        # backward compatibility but no longer selects a hash family.)
+        # API must agree with it bit-for-bit.
         self.filters = [BloomFilter(max(seg_len, 8), fp_rate, seed=0)
                         for _ in range(num_segments)]
         self.removal = RemovalFilter(max(seg_len * num_segments, 8),
                                      fp_rate, seed=0)
         self.rebuilds = 0
         self.queries = 0
-        self.false_region_hits = 0
         lru.observer = self
 
     # -- queries ---------------------------------------------------------

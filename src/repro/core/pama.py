@@ -97,8 +97,7 @@ class PamaPolicy(AllocationPolicy):
         if cfg.tracker == "bloom":
             tracker = BloomSegmentTracker(
                 queue.lru, seg_len, cfg.num_segments,
-                fp_rate=cfg.bloom_fp_rate,
-                seed=queue.class_idx * 101 + queue.bin_idx)
+                fp_rate=cfg.bloom_fp_rate)
         else:
             tracker = SegmentTracker(queue.lru, seg_len, cfg.num_segments)
         ghost = GhostList(seg_len, cfg.ghost_depth_segments)

@@ -11,8 +11,9 @@ per-(class, bin) slab counts.
 
 Cost model mirrors :mod:`repro.obs`: nothing is recorded unless a
 recorder is attached, every cold-path hook is one ``is not None``
-check, and the simulator selects a timeline-aware replay loop up front
-so the disabled hot path is byte-for-byte the uninstrumented one.
+check, and the simulator's replay loop feeds the recorder from its
+side-channel path only, so the disabled hot path is the uninstrumented
+one.
 
 Memory is bounded two ways:
 

@@ -48,6 +48,12 @@ class AllocationPolicy(ABC):
     #: skip the hashing entirely.
     wants_key_hashes = False
 
+    #: True when the policy arbitrates between tenants (the tenant
+    #: arbiter): the replay then sets ``current_tenant`` before every
+    #: request and reports per-tenant metrics from the policy's
+    #: ``tenants`` configs and ``tenant_slabs()``.
+    wants_tenants = False
+
     def __init__(self) -> None:
         self.cache: SlabCache | None = None
 
@@ -73,9 +79,8 @@ class AllocationPolicy(ABC):
         these edges (``bin_for`` must equal "bisect_left over the edges,
         clamped to the last bin"; an empty tuple means a single bin 0).
         Policies whose binning depends on mutable state — learned edges,
-        the current tenant — must return ``None``, which keeps the
-        replay on the scalar loop where ``bin_for`` is consulted per
-        request.  The base implementation answers for any subclass that
+        the current tenant — must return ``None``, which makes the
+        cache consult ``bin_for`` per request.  The base implementation answers for any subclass that
         kept the penalty-blind default and refuses (``None``) for any
         that overrode ``bin_for`` without also overriding this hook.
         """

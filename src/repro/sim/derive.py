@@ -1,25 +1,25 @@
-"""Vectorized derive pass: per-window precomputation for the replay loop.
+"""Vectorized derive pass: the replay engine's row stream.
 
-The scalar replay loop spends a large share of every GET recomputing
-values that are pure functions of the trace row: the key's splitmix64
-hash pair (twice per request for Bloom-tracked policies), the size
-class of ``key_size + value_size`` (a memo-dict probe), and the penalty
-bin (another memo probe).  This module computes all of them **per trace
-window** as NumPy column operations, and the simulator threads the
-derived columns into :meth:`repro.cache.cache.SlabCache.lookup_hashed`
-/ :meth:`~repro.cache.cache.SlabCache.set_classed` so the innermost
-loop does table lookups only.
+Several per-request values are pure functions of the trace row: the
+key's splitmix64 hash pair (for Bloom-tracked policies), the size class
+of ``key_size + value_size`` and the penalty bin.  This module computes
+them **per trace window** as NumPy column operations, and every replay
+(:meth:`repro.sim.simulator.Simulator.run`) threads the derived columns
+into :meth:`repro.cache.cache.SlabCache.lookup_hashed` /
+:meth:`~repro.cache.cache.SlabCache.set_classed`, so the innermost loop
+does table lookups only.
 
 Every array helper here agrees element-wise with its scalar reference
 (``hash_key`` / ``class_for_size`` / ``PamaConfig.bin_for`` /
 ``shard_of``) — the property tests in ``tests/sim/test_derive.py`` pin
-that, and the replay differential suite pins the end-to-end results
-``==``-exact against the scalar loop.
+that, and the replay differential suite pins end-to-end results
+``==``-exact.
 
 Rows the vector pass cannot prove valid carry sentinels (class ``-1``
 unknown/too-large, ``-2`` invalid sizes; bin ``-1`` NaN or negative
-penalty) and re-dispatch to the scalar code so errors raise exactly
-where the scalar replay would raise them.
+penalty, or dynamic binning) that make the cache compute the value
+itself, so errors raise exactly where a per-request computation raises
+them.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ import numpy as np
 
 from repro.bloom.hashing import (hash_key_array, hash_pair_arrays,
                                  key_shard_array)
-from repro.traces.record import Trace
+from repro.traces.record import trace_windows
 
 __all__ = ["hash_key_array", "hash_pair_arrays", "key_shard_array",
-           "class_index_array", "penalty_bin_array", "derived_rows",
-           "derive_unsupported_reason"]
+           "class_index_array", "penalty_bin_array", "derived_rows"]
 
 
 def class_index_array(key_sizes, value_sizes, size_classes):
@@ -84,62 +83,37 @@ def penalty_bin_array(penalties, edges):
     return idx
 
 
-def _windows(source):
-    """The bounded-window view of any replay source."""
-    if isinstance(source, Trace):
-        return (source,)
-    if hasattr(source, "iter_windows"):
-        return source.iter_windows()
-    return iter(source)
+def derived_rows(source, service, size_classes, policy):
+    """The replay row stream: per-request scalars plus derived columns.
 
+    Yields 11-tuples ``(op, key, key_size, value_size, penalty,
+    miss_cost, h1, h2, class_idx, bin_idx, tenant)``, one bounded window
+    at a time, so a streamed source replays with memory bounded by its
+    window.  Columns that would cost ``policy`` work or memory for
+    nothing are constants instead:
 
-def derived_rows(source, service, size_classes, edges, want_hashes):
-    """Per-request scalars plus derived columns, one window at a time.
-
-    Yields 10-tuples ``(op, key, key_size, value_size, penalty,
-    miss_cost, h1, h2, class_idx, bin_idx)``.  The first six entries
-    are exactly the scalar row stream; the last four are the derive
-    pass.  ``want_hashes`` mirrors the cache's hash-once gate: policies
-    that never probe filters get ``(0, 0)`` pairs (the scalar loop's
-    behaviour) and skip the hashing work entirely.
+    * ``(h1, h2)`` is ``(0, 0)`` unless the policy ``wants_key_hashes``
+      (the cache's own "no hash pair" value);
+    * ``bin_idx`` is ``-1`` when ``policy.bin_edges()`` is ``None``
+      (dynamic binning: the cache calls ``bin_for`` per request);
+    * ``tenant`` is ``0`` unless the policy ``wants_tenants``.
     """
-    for w in _windows(source):
-        if want_hashes:
+    edges = policy.bin_edges()
+    for w in trace_windows(source):
+        if policy.wants_key_hashes:
             a1, a2 = hash_pair_arrays(w.keys)
             h1, h2 = a1.tolist(), a2.tolist()
         else:
             h1 = h2 = repeat(0)
         cls = class_index_array(w.key_sizes, w.value_sizes,
                                 size_classes).tolist()
-        bins = penalty_bin_array(w.penalties, edges).tolist()
+        bins = (repeat(-1) if edges is None
+                else penalty_bin_array(w.penalties, edges).tolist())
+        tenants = w.tenants.tolist() if policy.wants_tenants else repeat(0)
+        # The default miss cost is the penalty itself: the two columns
+        # share one set of float objects.
+        penalties = w.penalties.tolist()
         yield from zip(w.ops.tolist(), w.keys.tolist(),
                        w.key_sizes.tolist(), w.value_sizes.tolist(),
-                       w.penalties.tolist(), service.miss_array(w.penalties),
-                       h1, h2, cls, bins)
-
-
-def derive_unsupported_reason(cache, policy, *, faults=None, timeline=None,
-                              hist=None, wants_tenants=False) -> str | None:
-    """Why the derive pass cannot run this replay, or ``None`` if it can.
-
-    The derive loop covers the plain replay: a :class:`SlabCache`-style
-    cache exposing the precomputed entry points, a policy with static
-    penalty binning, and none of the instrumented loop variants (fault
-    injection, timelines, per-request histograms, tenant tagging) whose
-    per-request side channels the scalar loops own.
-    """
-    if wants_tenants:
-        return "tenant-tagged replay uses the scalar tenant loop"
-    if faults is not None:
-        return "fault injection uses the scalar fault-aware loop"
-    if timeline is not None:
-        return "timeline recording uses the scalar timeline loop"
-    if hist is not None:
-        return "per-request histograms use the scalar instrumented loop"
-    if not (hasattr(cache, "lookup_hashed") and hasattr(cache, "set_classed")):
-        return f"{type(cache).__name__} has no derived-column fast path"
-    edges = getattr(policy, "bin_edges", lambda: None)()
-    if edges is None:
-        return (f"policy {policy.name!r} bins penalties dynamically "
-                f"(bin_edges() is None)")
-    return None
+                       penalties, service.miss_array(penalties),
+                       h1, h2, cls, bins, tenants)

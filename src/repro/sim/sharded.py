@@ -41,18 +41,9 @@ from repro.sim.experiment import ExperimentSpec
 from repro.sim.metrics import MetricsCollector, _sum_dicts
 from repro.sim.service import ServiceTimeModel
 from repro.sim.simulator import SimulationResult, Simulator
-from repro.traces.record import SharedTrace, Trace
+from repro.traces.record import SharedTrace, Trace, trace_windows
 
 __all__ = ["run_sharded", "shard_windows"]
-
-
-def _iter_windows(source):
-    """The bounded-window view of any replay source (same as derive's)."""
-    if isinstance(source, Trace):
-        return (source,)
-    if hasattr(source, "iter_windows"):
-        return source.iter_windows()
-    return iter(source)
 
 
 def shard_windows(source, shard: int, nshards: int):
@@ -63,7 +54,7 @@ def shard_windows(source, shard: int, nshards: int):
     request stream the matching server shard would see.  ``nshards <= 1``
     yields the windows unchanged (no masking cost on the exact path).
     """
-    for w in _iter_windows(source):
+    for w in trace_windows(source):
         if nshards <= 1:
             yield w
             continue
@@ -74,7 +65,7 @@ def shard_windows(source, shard: int, nshards: int):
 
 
 def _replay_shard(trace, spec: ExperimentSpec, policy: str, shard: int,
-                  nshards: int, derive: bool | None):
+                  nshards: int):
     """Replay one shard's rows; return picklable pieces for the merge.
 
     The per-shard window threshold is ``window_gets / nshards`` so that
@@ -87,7 +78,7 @@ def _replay_shard(trace, spec: ExperimentSpec, policy: str, shard: int,
     sim = Simulator(cache, ServiceTimeModel(hit_time=spec.hit_time),
                     window_gets=window_gets,
                     fill_on_miss=spec.fill_on_miss)
-    result = sim.run(shard_windows(trace, shard, nshards), derive=derive)
+    result = sim.run(shard_windows(trace, shard, nshards))
     collector = sim.metrics
     collector.snapshot_fn = None  # the cache-bound closure won't pickle
     return (collector, result.cache_stats, result.final_class_slabs,
@@ -95,14 +86,14 @@ def _replay_shard(trace, spec: ExperimentSpec, policy: str, shard: int,
 
 
 def _worker_replay(spec: ExperimentSpec, policy: str, shard: int,
-                   nshards: int, derive: bool | None):
+                   nshards: int):
     """Pool task: replay one shard against the worker's attached trace."""
     from repro.sim import parallel
 
     assert parallel._worker_trace is not None, \
         "worker used before initialization"
     return _replay_shard(parallel._worker_trace, spec, policy, shard,
-                         nshards, derive)
+                         nshards)
 
 
 def _merge_cache_stats(parts: list[dict]) -> dict[str, float]:
@@ -125,8 +116,7 @@ def _merge_cache_stats(parts: list[dict]) -> dict[str, float]:
 
 
 def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
-                shards: int = 1, jobs: int | None = None,
-                derive: bool | None = None) -> SimulationResult:
+                shards: int = 1, jobs: int | None = None) -> SimulationResult:
     """Replay ``trace`` once, partitioned over ``shards`` key shards.
 
     Args:
@@ -146,13 +136,11 @@ def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
             ``min(shards, cpu_count)``.  A resolved ``1`` replays the
             shards serially in-process (same results — shard replays
             are independent, so scheduling cannot change them).
-        derive: forwarded to :meth:`Simulator.run` per shard (``None``
-            auto-selects the vectorized derive pass).
 
     Returns:
         a merged :class:`SimulationResult`.  Service-time quantiles are
-        only populated on the ``shards=1`` path (per-request histograms
-        belong to the scalar instrumented loop); ``elapsed_seconds`` is
+        only populated on the ``shards=1`` path (per-shard histograms
+        are not merged); ``elapsed_seconds`` is
         the wall clock of the whole sharded run.
 
     Raises:
@@ -169,7 +157,7 @@ def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
         sim = Simulator(cache, ServiceTimeModel(hit_time=spec.hit_time),
                         window_gets=spec.window_gets,
                         fill_on_miss=spec.fill_on_miss)
-        result = sim.run(trace, derive=derive)
+        result = sim.run(trace)
         merged = MetricsCollector.merge([sim.metrics])
         return replace(
             result,
@@ -180,7 +168,7 @@ def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
             elapsed_seconds=perf_counter() - started)
 
     probe = make_policy(policy, **spec.policy_kwargs.get(policy, {}))
-    if getattr(probe, "wants_tenants", False):
+    if probe.wants_tenants:
         raise ValueError(
             f"policy {policy!r} arbitrates between tenants; the sharded "
             "replay does not tag requests by tenant — run it unsharded")
@@ -194,12 +182,11 @@ def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
     jobs = (max(1, min(shards, os.cpu_count() or 1))
             if jobs is None else max(1, int(jobs)))
     if jobs == 1:
-        parts = [_replay_shard(trace, shard_spec, policy, shard, shards,
-                               derive)
+        parts = [_replay_shard(trace, shard_spec, policy, shard, shards)
                  for shard in range(shards)]
     else:
         parts = _run_shard_pool(trace, shard_spec, policy, shards,
-                                min(jobs, shards), derive)
+                                min(jobs, shards))
 
     collectors = [p[0] for p in parts]
     merged = MetricsCollector.merge(collectors)
@@ -217,7 +204,7 @@ def run_sharded(trace, spec: ExperimentSpec, policy: str, *,
 
 
 def _run_shard_pool(trace, shard_spec: ExperimentSpec, policy: str,
-                    shards: int, jobs: int, derive: bool | None):
+                    shards: int, jobs: int):
     """Fan the shard replays over a process pool, in shard order.
 
     Reuses the grid engine's one-attach-per-worker transport
@@ -242,7 +229,7 @@ def _run_shard_pool(trace, shard_spec: ExperimentSpec, policy: str,
                                  initializer=_worker_init,
                                  initargs=(payload,)) as pool:
             futures = [pool.submit(_worker_replay, shard_spec, policy,
-                                   shard, shards, derive)
+                                   shard, shards)
                        for shard in range(shards)]
             # Collect in shard order: the merge is order-independent,
             # but deterministic part order keeps failure attribution

@@ -7,13 +7,14 @@ applied directly.  Hit ratio and average service time are collected per
 window of GETs, with per-class and per-queue slab snapshots at each
 window close (the Figs 3/4 series).
 
-Replay sources: an in-memory :class:`~repro.traces.record.Trace`
-(columns convert to flat lists once — the PR-4 hot path), or any
-*streaming* source — a :class:`~repro.traces.compile.CompiledTrace` or
-an iterable of bounded :class:`Trace` windows — whose rows feed the
-same loops window-by-window, so a 100M-op compiled trace replays with
-resident memory bounded by the window, and results identical to the
-whole-trace replay.
+Replay sources: an in-memory :class:`~repro.traces.record.Trace`, or
+any *streaming* source — a :class:`~repro.traces.compile.CompiledTrace`
+or an iterable of bounded :class:`Trace` windows.  Every source feeds
+one engine: the derive pass (:mod:`repro.sim.derive`) turns each window
+into rows carrying the request's precomputed hash pair, size class and
+penalty bin, and one loop dispatches them to the cache's GET and SET
+bodies.  A 100M-op compiled trace replays with resident memory bounded
+by the window, and results identical to the whole-trace replay.
 """
 
 from __future__ import annotations
@@ -23,61 +24,9 @@ from dataclasses import dataclass, field
 
 from repro import obs as _obs
 from repro.cache.cache import SlabCache
-from repro.sim.derive import derive_unsupported_reason, derived_rows
+from repro.sim.derive import derived_rows
 from repro.sim.metrics import MetricsCollector, WindowStats
 from repro.sim.service import ServiceTimeModel
-from repro.traces.record import Trace
-
-
-def _windowed_rows(source, service):
-    """Rows from a streaming source, one bounded window at a time.
-
-    Each window's columns convert to plain lists (the same per-row
-    scalars the whole-trace path produces), get consumed, and are freed
-    before the next window — peak memory is one window, and per-window
-    ``miss_array`` is element-wise so results are bit-identical.
-    """
-    windows = (source.iter_windows() if hasattr(source, "iter_windows")
-               else iter(source))
-    for w in windows:
-        yield from zip(w.ops.tolist(), w.keys.tolist(),
-                       w.key_sizes.tolist(), w.value_sizes.tolist(),
-                       w.penalties.tolist(),
-                       service.miss_array(w.penalties))
-
-
-def _trace_rows(trace, service):
-    """The replay row stream for any trace source run() accepts."""
-    if isinstance(trace, Trace):
-        # Whole-trace fast path: one tolist per column, a single zip.
-        return zip(trace.ops.tolist(), trace.keys.tolist(),
-                   trace.key_sizes.tolist(), trace.value_sizes.tolist(),
-                   trace.penalties.tolist(),
-                   service.miss_array(trace.penalties))
-    return _windowed_rows(trace, service)
-
-
-def _windowed_rows_tenants(source, service):
-    """Tenant-tagged rows from a streaming source (7th column)."""
-    windows = (source.iter_windows() if hasattr(source, "iter_windows")
-               else iter(source))
-    for w in windows:
-        yield from zip(w.ops.tolist(), w.keys.tolist(),
-                       w.key_sizes.tolist(), w.value_sizes.tolist(),
-                       w.penalties.tolist(),
-                       service.miss_array(w.penalties),
-                       w.tenants.tolist())
-
-
-def _trace_rows_tenants(trace, service):
-    """Row stream with the tenant id as a 7th per-row scalar."""
-    if isinstance(trace, Trace):
-        return zip(trace.ops.tolist(), trace.keys.tolist(),
-                   trace.key_sizes.tolist(), trace.value_sizes.tolist(),
-                   trace.penalties.tolist(),
-                   service.miss_array(trace.penalties),
-                   trace.tenants.tolist())
-    return _windowed_rows_tenants(trace, service)
 
 
 @dataclass
@@ -101,8 +50,8 @@ class SimulationResult:
     #: same split by outcome (hit service times / miss penalties).
     hit_quantiles: dict[str, float] = field(default_factory=dict)
     miss_quantiles: dict[str, float] = field(default_factory=dict)
-    #: per-tenant outcome summaries, populated only by the tenant-tagged
-    #: replay loop (a policy with ``wants_tenants``): tenant id ->
+    #: per-tenant outcome summaries, populated only for a policy with
+    #: ``wants_tenants`` (the tenant arbiter): tenant id ->
     #: {name, gets, hits, hit_ratio, service_sum, avg_service_time,
     #:  penalty_sum, sla_weight, slabs, quantiles}.
     tenant_metrics: dict[int, dict] = field(default_factory=dict)
@@ -154,17 +103,15 @@ class Simulator:
         #: to the module-level registry when observability is enabled.
         self.obs = obs
         #: optional :class:`~repro.faults.injector.FaultInjector` —
-        #: selects the fault-aware replay loop (backend spikes/errors,
-        #: routed-op latency, graceful degradation).  Share the same
-        #: injector with the cache when it is a fault-aware cluster.
+        #: backend spikes/errors, routed-op latency, graceful
+        #: degradation.  Share the same injector with the cache when it
+        #: is a fault-aware cluster.
         self.faults = faults
-        #: optional :class:`~repro.obs.timeline.TimelineRecorder` —
-        #: selects a timeline-aware replay loop; the disabled hot loops
-        #: are untouched (PR-4 throughput contract).
+        #: optional :class:`~repro.obs.timeline.TimelineRecorder`.
         self.timeline = timeline
         #: optional :class:`~repro.obs.spans.SpanTracer` — sampled
-        #: requests in the fault-aware loop open a root "request" span;
-        #: a fault-aware cluster sharing the tracer nests under it.
+        #: requests open a root "request" span; a fault-aware cluster
+        #: sharing the tracer nests under it.
         self.tracing = tracing
         # Rebuilt at the top of every run(); kept as an attribute so a
         # run's collector stays inspectable after it returns.
@@ -174,7 +121,7 @@ class Simulator:
         return (self.cache.class_slab_distribution(),
                 self.cache.slab_distribution())
 
-    def run(self, trace, derive: bool | None = None) -> SimulationResult:
+    def run(self, trace) -> SimulationResult:
         """Replay a trace source to completion and return the result.
 
         ``trace`` is a :class:`Trace`, a
@@ -183,23 +130,12 @@ class Simulator:
         memory bounded by the window and results identical to the
         whole-trace replay.
 
-        ``derive`` selects the vectorized derive pass
-        (:mod:`repro.sim.derive`): ``None`` (default) uses it when the
-        replay qualifies *and* the policy hashes keys per request
-        (Bloom-tracked policies — the configs where hoisting the hash
-        pair out of the loop pays for the pass; for hash-free policies
-        the scalar loop computes class/bin only on misses, so deriving
-        every row costs more than it saves), ``True`` requires it for
-        any supported replay (raises ``ValueError`` with the reason
-        when it cannot run), ``False`` forces the scalar loops.
-        Results are ``==``-identical either way — the derive pass only
-        precomputes what the scalar loop would compute per request.
-
         Each run gets a fresh :class:`MetricsCollector`: reusing the
         one from a previous run would carry its windows and totals into
         the new result and skew repeat-pass experiments (Fig 7 style).
         """
         cache = self.cache
+        policy = cache.policy
         metrics = self.metrics = MetricsCollector(self.window_gets,
                                                   self._snapshot)
         service = self.service_model
@@ -213,138 +149,57 @@ class Simulator:
                 # simulators must snapshot *this* run's cache, not the
                 # first cache it ever met.
                 timeline.snapshot_fn = self._snapshot
+        registry = self.obs if self.obs is not None else _obs.get_registry()
+        side = None
+        if (self.faults is not None or timeline is not None
+                or self.tracing is not None or registry is not None
+                or policy.wants_tenants or service.bandwidth is not None):
+            side = _SideChannels(self, metrics, registry)
+        rows = derived_rows(trace, service, cache.size_classes, policy)
         fill = self.fill_on_miss
+        hit_cost = service.hit_time
+        lookup_hashed = cache.lookup_hashed
+        set_classed = cache.set_classed
         cache_set = cache.set
+        cache_delete = cache.delete
         record_hit = metrics.record_hit
         record_miss = metrics.record_miss
-        # Per-request service-time histograms, only when observability
-        # is on: the disabled path costs one ``is not None`` per GET.
-        registry = self.obs if self.obs is not None else _obs.get_registry()
-        hist = hist_hit = hist_miss = None
-        if registry is not None:
-            # Labelled by policy so back-to-back runs against one shared
-            # registry (e.g. a serial comparison) keep separate tails.
-            policy = cache.policy.name
-            hist = registry.histogram(
-                "sim_service_time_seconds",
-                "per-request GET service time", lo=1e-6, growth=1.25,
-                policy=policy)
-            hist_hit = registry.histogram(
-                "sim_hit_time_seconds",
-                "per-request service time of GET hits",
-                lo=1e-6, growth=1.25, policy=policy)
-            hist_miss = registry.histogram(
-                "sim_miss_penalty_seconds",
-                "per-request penalty of GET misses", lo=1e-6, growth=1.25,
-                policy=policy)
-
-        # Row iteration is columnar: each column converts to a plain
-        # Python list once, the per-row miss cost is precomputed from
-        # the penalties column (identity for the default model, so
-        # bit-identical to calling service.miss per request), and the
-        # loops below unpack scalars straight out of one zip — no
-        # per-request tuple building, no per-miss method call.
         started = time.perf_counter()
-
-        # Loop bodies selected once: the tenant-tagged replay when the
-        # policy arbitrates between tenants, the fault-aware replay
-        # when an injector is attached, the timeline-aware replay when
-        # only a recorder is, otherwise the obs-disabled replay runs
-        # the hot loop with zero per-request instrumentation cost
-        # (split again on whether the hit cost is a hoistable constant).
-        tenant_metrics: dict[int, dict] = {}
-        wants_tenants = bool(getattr(cache.policy, "wants_tenants", False))
-        if wants_tenants and self.faults is not None:
-            raise ValueError(
-                "fault injection and tenant arbitration are not combinable "
-                "yet: the fault-aware loop does not tag requests by tenant")
-        # The derive pass replaces the scalar row stream with one that
-        # carries precomputed hash pairs / size classes / penalty bins
-        # (repro.sim.derive); ==-identical results, vectorized setup.
-        reason = derive_unsupported_reason(
-            cache, cache.policy, faults=self.faults, timeline=timeline,
-            hist=hist, wants_tenants=wants_tenants)
-        if derive is True and reason is not None:
-            raise ValueError(f"derive pass unavailable: {reason}")
-        use_derive = (derive is True
-                      or (derive is None and reason is None
-                          and cache._wants_hashes))
-        rows = (derived_rows(trace, service, cache.size_classes,
-                             cache.policy.bin_edges(), cache._wants_hashes)
-                if use_derive
-                else _trace_rows_tenants(trace, service) if wants_tenants
-                else _trace_rows(trace, service))
-        cache_lookup = cache.lookup
-        cache_delete = cache.delete
-        if use_derive:
-            self._replay_derived(rows, metrics, service)
-        elif wants_tenants:
-            tenant_metrics = self._replay_tenants(
-                rows, metrics, service, hist, hist_hit, hist_miss,
-                timeline, registry)
-        elif self.faults is not None:
-            self._replay_faulty(rows, metrics, service,
-                                hist, hist_hit, hist_miss)
-        elif timeline is not None:
-            self._replay_timeline(rows, metrics, service,
-                                  hist, hist_hit, hist_miss, timeline)
-        elif hist is None:
-            if service.bandwidth is None:
-                hit_cost = service.hit_time
-                for op, key, key_size, value_size, penalty, miss_cost in rows:
-                    if op == 0:  # GET
-                        if cache_lookup(key, key_size, value_size,
-                                        penalty) is not None:
-                            record_hit(hit_cost)
-                        else:
-                            record_miss(miss_cost)
-                            if fill:
-                                cache_set(key, key_size, value_size, penalty)
-                    elif op == 1:  # SET
-                        cache_set(key, key_size, value_size, penalty)
-                    else:  # DELETE
-                        cache_delete(key)
+        # One loop.  A request takes the side-channel path when anything
+        # is attached; the plain path below pays one check per row.
+        for (op, key, key_size, value_size, penalty, miss_cost,
+             h1, h2, class_idx, bin_idx, tenant) in rows:
+            if side is not None:
+                side(op, key, key_size, value_size, penalty, miss_cost,
+                     h1, h2, class_idx, bin_idx, tenant)
+                continue
+            if op == 0:  # GET
+                if lookup_hashed(key, key_size, value_size, penalty,
+                                 h1, h2, class_idx, bin_idx) is not None:
+                    record_hit(hit_cost)
+                    continue
+                record_miss(miss_cost)
+                if not fill:
+                    continue
+            elif op != 1:  # DELETE
+                cache_delete(key)
+                continue
+            # SET, or the fill after a GET miss: rows the derive pass
+            # proved valid take the SET body directly, the rest go
+            # through set()'s validation.
+            if class_idx >= 0 and value_size >= 0 and penalty >= 0:
+                set_classed(key, key_size, value_size, penalty,
+                            class_idx, bin_idx)
             else:
-                service_hit = service.hit
-                for op, key, key_size, value_size, penalty, miss_cost in rows:
-                    if op == 0:  # GET
-                        item = cache_lookup(key, key_size, value_size, penalty)
-                        if item is not None:
-                            record_hit(service_hit(item.total_size))
-                        else:
-                            record_miss(miss_cost)
-                            if fill:
-                                cache_set(key, key_size, value_size, penalty)
-                    elif op == 1:  # SET
-                        cache_set(key, key_size, value_size, penalty)
-                    else:  # DELETE
-                        cache_delete(key)
-        else:
-            for op, key, key_size, value_size, penalty, miss_cost in rows:
-                if op == 0:  # GET
-                    item = cache_lookup(key, key_size, value_size, penalty)
-                    if item is not None:
-                        cost = service.hit(item.total_size)
-                        record_hit(cost)
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                    else:
-                        record_miss(miss_cost)
-                        hist.record(miss_cost)
-                        hist_miss.record(miss_cost)
-                        if fill:
-                            cache_set(key, key_size, value_size, penalty)
-                elif op == 1:  # SET
-                    cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
+                cache_set(key, key_size, value_size, penalty)
         elapsed = time.perf_counter() - started
         metrics.flush()
         if timeline is not None:
             timeline.finish()
 
+        hists = side.hists if side is not None else None
         return SimulationResult(
-            policy=cache.policy.name,
+            policy=policy.name,
             windows=list(metrics.windows),
             hit_ratio=metrics.overall_hit_ratio,
             avg_service_time=metrics.overall_avg_service_time,
@@ -353,170 +208,194 @@ class Simulator:
             elapsed_seconds=elapsed,
             final_class_slabs=cache.class_slab_distribution(),
             final_queue_slabs=cache.slab_distribution(),
-            service_quantiles=hist.quantiles() if hist is not None else {},
-            hit_quantiles=(hist_hit.quantiles()
-                           if hist_hit is not None else {}),
-            miss_quantiles=(hist_miss.quantiles()
-                            if hist_miss is not None else {}),
-            tenant_metrics=tenant_metrics,
+            service_quantiles=hists[0].quantiles() if hists else {},
+            hit_quantiles=hists[1].quantiles() if hists else {},
+            miss_quantiles=hists[2].quantiles() if hists else {},
+            tenant_metrics=side.tenant_metrics() if side is not None else {},
         )
 
-    def _replay_derived(self, rows, metrics: MetricsCollector,
-                        service: ServiceTimeModel) -> None:
-        """The derived replay loop over 10-column rows.
 
-        Dispatches every request through the precomputed entry points
-        (:meth:`~repro.cache.cache.SlabCache.lookup_hashed` /
-        :meth:`~repro.cache.cache.SlabCache.set_classed`); rows carrying
-        a derive sentinel (unknown/invalid class, invalid penalty, or a
-        negative value size a SET must reject) fall back to the scalar
-        :meth:`~repro.cache.cache.SlabCache.set` so validation errors
-        raise exactly as the scalar loop raises them.
-        """
-        cache = self.cache
-        fill = self.fill_on_miss
-        lookup_hashed = cache.lookup_hashed
-        set_classed = cache.set_classed
-        cache_set = cache.set
-        cache_delete = cache.delete
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        if service.bandwidth is None:
-            hit_cost = service.hit_time
-            for (op, key, key_size, value_size, penalty, miss_cost,
-                 h1, h2, class_idx, bin_idx) in rows:
-                if op == 0:  # GET
-                    if lookup_hashed(key, key_size, value_size, penalty,
-                                     h1, h2, class_idx, bin_idx) is not None:
-                        record_hit(hit_cost)
-                    else:
-                        record_miss(miss_cost)
-                        if fill:
-                            if class_idx >= 0 and bin_idx >= 0 \
-                                    and value_size >= 0:
-                                set_classed(key, key_size, value_size,
-                                            penalty, class_idx, bin_idx)
-                            else:
-                                cache_set(key, key_size, value_size, penalty)
-                elif op == 1:  # SET
-                    if class_idx >= 0 and bin_idx >= 0 and value_size >= 0:
-                        set_classed(key, key_size, value_size, penalty,
-                                    class_idx, bin_idx)
-                    else:
-                        cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
-        else:
-            service_hit = service.hit
-            for (op, key, key_size, value_size, penalty, miss_cost,
-                 h1, h2, class_idx, bin_idx) in rows:
-                if op == 0:  # GET
-                    item = lookup_hashed(key, key_size, value_size, penalty,
-                                         h1, h2, class_idx, bin_idx)
-                    if item is not None:
-                        record_hit(service_hit(item.total_size))
-                    else:
-                        record_miss(miss_cost)
-                        if fill:
-                            if class_idx >= 0 and bin_idx >= 0 \
-                                    and value_size >= 0:
-                                set_classed(key, key_size, value_size,
-                                            penalty, class_idx, bin_idx)
-                            else:
-                                cache_set(key, key_size, value_size, penalty)
-                elif op == 1:  # SET
-                    if class_idx >= 0 and bin_idx >= 0 and value_size >= 0:
-                        set_classed(key, key_size, value_size, penalty,
-                                    class_idx, bin_idx)
-                    else:
-                        cache_set(key, key_size, value_size, penalty)
-                else:  # DELETE
-                    cache_delete(key)
+def _store(cache, key, key_size, value_size, penalty, class_idx, bin_idx):
+    """The replay loop's SET dispatch (see :meth:`Simulator.run`)."""
+    if class_idx >= 0 and value_size >= 0 and penalty >= 0:
+        cache.set_classed(key, key_size, value_size, penalty,
+                          class_idx, bin_idx)
+    else:
+        cache.set(key, key_size, value_size, penalty)
 
-    def _replay_tenants(self, rows, metrics: MetricsCollector,
-                        service: ServiceTimeModel, hist, hist_hit,
-                        hist_miss, timeline, registry) -> dict[int, dict]:
-        """Tenant-tagged replay: rows carry a 7th tenant-id scalar.
 
-        Sets ``policy.current_tenant`` before every operation (the
-        arbiter's bin/miss dispatch keys on it), accumulates per-tenant
-        outcome totals, feeds the timeline's per-tenant window cells,
-        and — when an obs registry is active — keeps one service-time
-        histogram per tenant for tail quantiles.
-        """
-        cache = self.cache
-        policy = cache.policy
-        fill = self.fill_on_miss
-        cache_lookup = cache.lookup
-        cache_set = cache.set
-        cache_delete = cache.delete
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        service_hit = service.hit
-        record_get = timeline.record_get if timeline is not None else None
-        advance = timeline.advance if timeline is not None else None
+#: (name, help) of the per-request histograms, in SimulationResult
+#: quantile order: all GETs, hits, misses.
+_HISTOGRAMS = (
+    ("sim_service_time_seconds", "per-request GET service time"),
+    ("sim_hit_time_seconds", "per-request service time of GET hits"),
+    ("sim_miss_penalty_seconds", "per-request penalty of GET misses"),
+)
+
+
+class _SideChannels:
+    """Everything a replayed request may feed besides the metrics.
+
+    The side channels are fault injection (backend spikes and errors,
+    routed-op latency, graceful degradation), span tracing, the
+    timeline, per-request service-time histograms, per-tenant cells
+    (a policy with ``wants_tenants``) and size-dependent hit costs.
+    :meth:`Simulator.run` hands a request here only when at least one
+    is attached, so a plain replay never pays for them.
+    """
+
+    def __init__(self, sim: Simulator, metrics: MetricsCollector,
+                 registry) -> None:
+        cache = sim.cache
+        self.cache = cache
+        self.policy = cache.policy
+        self.fill = sim.fill_on_miss
+        self.record_hit = metrics.record_hit
+        self.record_miss = metrics.record_miss
+        self.service_hit = sim.service_model.hit
+        self.faults = sim.faults
+        self.tracer = sim.tracing
+        self.timeline = sim.timeline
+        self.registry = registry
+        #: (all, hits, misses) histograms, when a registry is active.
+        #: Labelled by policy so back-to-back runs against one shared
+        #: registry (e.g. a serial comparison) keep separate tails.
+        self.hists = None
+        if registry is not None:
+            self.hists = tuple(
+                registry.histogram(name, doc, lo=1e-6, growth=1.25,
+                                   policy=self.policy.name)
+                for name, doc in _HISTOGRAMS)
+        self.tenants = self.policy.wants_tenants
         #: tenant -> [gets, hits, service_sum, penalty_sum]
-        cells: dict[int, list] = {}
-        tenant_hists: dict[int, object] = {}
-        tick = -1
-        for op, key, key_size, value_size, penalty, miss_cost, tenant in rows:
-            tick += 1
-            policy.current_tenant = tenant
-            if op == 0:  # GET
-                item = cache_lookup(key, key_size, value_size, penalty)
-                if item is not None:
-                    hit = True
-                    cost = service_hit(item.total_size)
-                    record_hit(cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                else:
-                    hit = False
-                    cost = miss_cost
-                    record_miss(cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_miss.record(cost)
-                    if fill:
-                        cache_set(key, key_size, value_size, penalty)
-                cell = cells.get(tenant)
-                if cell is None:
-                    cell = cells[tenant] = [0, 0, 0.0, 0.0]
-                cell[0] += 1
-                cell[1] += hit
-                cell[2] += cost
-                if not hit and penalty == penalty:
-                    cell[3] += penalty
-                if record_get is not None:
-                    record_get(tick, hit, cost,
-                               0.0 if hit else penalty, tenant)
-                if registry is not None:
-                    th = tenant_hists.get(tenant)
-                    if th is None:
-                        th = tenant_hists[tenant] = registry.histogram(
-                            "sim_tenant_service_time_seconds",
-                            "per-request GET service time by tenant",
-                            lo=1e-6, growth=1.25, policy=policy.name,
-                            tenant=str(tenant))
-                    th.record(cost)
-            elif op == 1:  # SET
-                cache_set(key, key_size, value_size, penalty)
-                if advance is not None:
-                    advance(tick)
-            else:  # DELETE
-                cache_delete(key)
-                if advance is not None:
-                    advance(tick)
+        self.cells: dict[int, list] = {}
+        self.tenant_hists: dict[int, object] = {}
+        # Request index: the access tick the timeline windows key on,
+        # unless the fault injector owns the clock.
+        self.tick = -1
 
-        configs = getattr(policy, "tenants", ())
-        slabs = (policy.tenant_slabs()
-                 if hasattr(policy, "tenant_slabs") else [])
+    def __call__(self, op, key, key_size, value_size, penalty, miss_cost,
+                 h1, h2, class_idx, bin_idx, tenant) -> None:
+        inj = self.faults
+        if inj is not None:
+            tick = inj.advance()
+        else:
+            tick = self.tick = self.tick + 1
+        tracer = self.tracer
+        root = None
+        if tracer is not None and tracer.sampled(tick):
+            root = tracer.start_trace(
+                tick, ("get", "set", "delete")[op], key=str(key))
+        if self.tenants:
+            # The arbiter's bin and miss dispatch key on this.
+            self.policy.current_tenant = tenant
+        cache = self.cache
+        if op == 0:  # GET
+            self._get(tick, key, key_size, value_size, penalty, miss_cost,
+                      h1, h2, class_idx, bin_idx, tenant)
+        else:
+            if op == 1:  # SET
+                _store(cache, key, key_size, value_size, penalty,
+                       class_idx, bin_idx)
+            else:  # DELETE
+                cache.delete(key)
+            if inj is not None:
+                inj.consume_latency()
+            if self.timeline is not None:
+                self.timeline.advance(tick)
+        if root is not None:
+            tracer.end(root, tick)
+
+    def _get(self, tick, key, key_size, value_size, penalty, miss_cost,
+             h1, h2, class_idx, bin_idx, tenant) -> None:
+        """One GET: outcome, its service time, then the fill.
+
+        With fault injection, routed-op latency is folded into the
+        service time, and a miss consults the plan's backend faults
+        before filling: an error burst either degrades gracefully
+        (serve-stale: cheap fallback answer, no fill) or charges the
+        error penalty; a latency spike multiplies the miss penalty —
+        the condition PAMA's penalty-weighted allocation is built for.
+        """
+        inj = self.faults
+        item = self.cache.lookup_hashed(key, key_size, value_size, penalty,
+                                        h1, h2, class_idx, bin_idx)
+        extra = inj.consume_latency() if inj is not None else 0.0
+        do_fill = self.fill
+        if item is not None:
+            cost = self.service_hit(item.total_size)
+            if inj is not None:
+                cost += extra
+            self.record_hit(cost)
+        else:
+            cost = miss_cost
+            if inj is not None:
+                plan = inj.plan
+                if plan.backend_error(tick):
+                    # The backend refused the recompute: degrade.
+                    cfg = inj.resilience
+                    inj.count("backend_error")
+                    inj.event("backend_error", key=key)
+                    do_fill = False
+                    if cfg.serve_stale:
+                        cost = extra + cfg.stale_serve_time
+                        inj.count("stale_served")
+                    else:
+                        cost = extra + cfg.error_penalty
+                        inj.count("backend_give_up")
+                    inj.note_degraded(cost)
+                else:
+                    mult = plan.backend_multiplier(tick)
+                    if mult != 1.0:
+                        inj.count("backend_spiked")
+                    cost = extra + miss_cost * mult
+            self.record_miss(cost)
+        hit = item is not None
+        if self.timeline is not None:
+            self.timeline.record_get(tick, hit, cost,
+                                     0.0 if hit else penalty,
+                                     tenant if self.tenants else -1)
+        if self.hists is not None:
+            self.hists[0].record(cost)
+            self.hists[1 if hit else 2].record(cost)
+        if self.tenants:
+            self._tenant_get(tenant, hit, cost, penalty)
+        if not hit and do_fill:
+            _store(self.cache, key, key_size, value_size, penalty,
+                   class_idx, bin_idx)
+            if inj is not None:
+                inj.consume_latency()  # the fill is off the GET path
+
+    def _tenant_get(self, tenant, hit, cost, penalty) -> None:
+        cell = self.cells.get(tenant)
+        if cell is None:
+            cell = self.cells[tenant] = [0, 0, 0.0, 0.0]
+        cell[0] += 1
+        cell[1] += hit
+        cell[2] += cost
+        if not hit and penalty == penalty:
+            cell[3] += penalty
+        if self.registry is not None:
+            th = self.tenant_hists.get(tenant)
+            if th is None:
+                th = self.tenant_hists[tenant] = self.registry.histogram(
+                    "sim_tenant_service_time_seconds",
+                    "per-request GET service time by tenant",
+                    lo=1e-6, growth=1.25, policy=self.policy.name,
+                    tenant=str(tenant))
+            th.record(cost)
+
+    def tenant_metrics(self) -> dict[int, dict]:
+        """Per-tenant outcome summaries (``SimulationResult.tenant_metrics``)."""
+        if not self.tenants:
+            return {}
+        configs = self.policy.tenants
+        slabs = self.policy.tenant_slabs()
         out: dict[int, dict] = {}
-        for tenant in sorted(cells):
-            gets, hits, service_sum, penalty_sum = cells[tenant]
+        for tenant in sorted(self.cells):
+            gets, hits, service_sum, penalty_sum = self.cells[tenant]
             cfg = configs[tenant] if tenant < len(configs) else None
-            th = tenant_hists.get(tenant)
+            th = self.tenant_hists.get(tenant)
             out[tenant] = {
                 "name": cfg.name if cfg is not None else f"t{tenant}",
                 "gets": gets,
@@ -531,149 +410,18 @@ class Simulator:
             }
         return out
 
-    def _replay_timeline(self, rows, metrics: MetricsCollector,
-                         service: ServiceTimeModel, hist, hist_hit,
-                         hist_miss, timeline) -> None:
-        """Fault-free replay with a timeline recorder attached.
-
-        One extra ``record_get``/``advance`` call per request relative
-        to the plain loop; the request index is the access tick the
-        windows key on.
-        """
-        cache = self.cache
-        fill = self.fill_on_miss
-        cache_lookup = cache.lookup
-        cache_set = cache.set
-        cache_delete = cache.delete
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        record_get = timeline.record_get
-        advance = timeline.advance
-        tick = -1
-        for op, key, key_size, value_size, penalty, miss_cost in rows:
-            tick += 1
-            if op == 0:  # GET
-                item = cache_lookup(key, key_size, value_size, penalty)
-                if item is not None:
-                    cost = service.hit(item.total_size)
-                    record_hit(cost)
-                    record_get(tick, True, cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                else:
-                    record_miss(miss_cost)
-                    record_get(tick, False, miss_cost, penalty)
-                    if hist is not None:
-                        hist.record(miss_cost)
-                        hist_miss.record(miss_cost)
-                    if fill:
-                        cache_set(key, key_size, value_size, penalty)
-            elif op == 1:  # SET
-                cache_set(key, key_size, value_size, penalty)
-                advance(tick)
-            else:  # DELETE
-                cache_delete(key)
-                advance(tick)
-
-    def _replay_faulty(self, rows, metrics: MetricsCollector,
-                       service: ServiceTimeModel,
-                       hist, hist_hit, hist_miss) -> None:
-        """The fault-aware replay loop over pre-zipped columnar rows.
-
-        Per request: advance the injector's tick, run the op (a
-        fault-aware cluster accumulates routed-op latency on the
-        injector), then fold that latency plus any backend fault cost
-        into the request's service time.  A GET miss consults the plan's
-        backend faults before filling: an error burst either degrades
-        gracefully (serve-stale: cheap fallback answer, no fill) or
-        charges the error penalty; a latency spike multiplies the miss
-        penalty — the condition PAMA's penalty-weighted allocation is
-        built for.
-        """
-        inj = self.faults
-        plan = inj.plan
-        cfg = inj.resilience
-        cache = self.cache
-        fill = self.fill_on_miss
-        cache_lookup = cache.lookup
-        cache_set = cache.set
-        record_hit = metrics.record_hit
-        record_miss = metrics.record_miss
-        timeline = self.timeline
-        tracer = self.tracing
-        for op, key, key_size, value_size, penalty, miss_cost in rows:
-            tick = inj.advance()
-            root = None
-            if tracer is not None and tracer.sampled(tick):
-                root = tracer.start_trace(
-                    tick, ("get", "set", "delete")[op], key=str(key))
-            if op == 0:  # GET
-                item = cache_lookup(key, key_size, value_size, penalty)
-                extra = inj.consume_latency()
-                if item is not None:
-                    cost = service.hit(item.total_size) + extra
-                    record_hit(cost)
-                    if timeline is not None:
-                        timeline.record_get(tick, True, cost)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_hit.record(cost)
-                else:
-                    do_fill = fill
-                    if plan.backend_error(tick):
-                        # The backend refused the recompute: degrade.
-                        inj.count("backend_error")
-                        inj.event("backend_error", key=key)
-                        do_fill = False
-                        if cfg.serve_stale:
-                            cost = extra + cfg.stale_serve_time
-                            inj.count("stale_served")
-                        else:
-                            cost = extra + cfg.error_penalty
-                            inj.count("backend_give_up")
-                        inj.note_degraded(cost)
-                    else:
-                        mult = plan.backend_multiplier(tick)
-                        if mult != 1.0:
-                            inj.count("backend_spiked")
-                        cost = extra + miss_cost * mult
-                    record_miss(cost)
-                    if timeline is not None:
-                        timeline.record_get(tick, False, cost, penalty)
-                    if hist is not None:
-                        hist.record(cost)
-                        hist_miss.record(cost)
-                    if do_fill:
-                        cache_set(key, key_size, value_size, penalty)
-                        inj.consume_latency()  # fill is off the GET path
-            elif op == 1:  # SET
-                cache_set(key, key_size, value_size, penalty)
-                inj.consume_latency()
-                if timeline is not None:
-                    timeline.advance(tick)
-            else:  # DELETE
-                cache.delete(key)
-                inj.consume_latency()
-                if timeline is not None:
-                    timeline.advance(tick)
-            if root is not None:
-                tracer.end(root, tick)
-
 
 def simulate(trace, cache: SlabCache, *,
              hit_time: float = 1e-4, window_gets: int = 100_000,
              fill_on_miss: bool = True, obs=None, faults=None,
-             timeline=None, tracing=None,
-             derive: bool | None = None) -> SimulationResult:
+             timeline=None, tracing=None) -> SimulationResult:
     """One-shot convenience wrapper around :class:`Simulator`.
 
     ``trace`` accepts every :meth:`Simulator.run` source, including
-    streaming :class:`~repro.traces.compile.CompiledTrace` replays;
-    ``derive`` is forwarded to :meth:`Simulator.run`.
+    streaming :class:`~repro.traces.compile.CompiledTrace` replays.
     """
     sim = Simulator(cache, ServiceTimeModel(hit_time=hit_time),
                     window_gets=window_gets, fill_on_miss=fill_on_miss,
                     obs=obs, faults=faults, timeline=timeline,
                     tracing=tracing)
-    return sim.run(trace, derive=derive)
+    return sim.run(trace)

@@ -126,8 +126,7 @@ class TenantArbiter(AllocationPolicy):
 
     name = "tenant-arbiter"
 
-    #: duck-typed marker the simulator checks (no sim -> tenancy import)
-    #: to select the tenant-tagged replay loop.
+    #: the replay tags every request with its tenant id.
     wants_tenants = True
 
     #: the fallback donor ignores reserves; an empty queue with no

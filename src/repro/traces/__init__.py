@@ -12,7 +12,7 @@ from repro.traces.penalty import PenaltyModel, infer_penalties
 from repro.traces.record import (TENANT_COLUMN, TRACE_COLUMNS,
                                  TRACE_COLUMNS_V2, Op, Request, SharedTrace,
                                  Trace, TraceDescriptor, attach_shared_trace,
-                                 disable_shm_tracking)
+                                 disable_shm_tracking, trace_windows)
 from repro.traces.stats import TraceStats, analyze, penalty_by_size_decade
 from repro.traces.synthetic import SyntheticTraceGenerator, generate, zipf_cdf
 from repro.traces.twitter import load_twitter
@@ -22,7 +22,7 @@ from repro.traces.workloads import (APP, DEDUP, ETC, PROFILES, RTDATA, SYS,
                                     WorkloadProfile, get_profile)
 
 __all__ = [
-    "Op", "Request", "Trace",
+    "Op", "Request", "Trace", "trace_windows",
     "SharedTrace", "TraceDescriptor", "attach_shared_trace",
     "disable_shm_tracking",
     "WorkloadProfile", "SizeMixture", "get_profile", "PROFILES",

@@ -180,6 +180,18 @@ class Trace:
 # shared-memory transport
 # ---------------------------------------------------------------------------
 
+def trace_windows(source) -> Iterator[Trace]:
+    """The bounded :class:`Trace` windows of any replay source.
+
+    A :class:`Trace` is its own single window; anything else — a
+    :class:`~repro.traces.compile.CompiledTrace` or an iterable of
+    windows — is iterated as is.
+    """
+    if isinstance(source, Trace):
+        return iter((source,))
+    return iter(source)
+
+
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 

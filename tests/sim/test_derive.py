@@ -1,33 +1,25 @@
 """Property tests: the vectorized derive pass vs its scalar references.
 
 Every derived column must agree element-wise with the scalar function
-the replay loop used to call per request — ``hash_key`` /
-``class_for_size`` / ``PamaConfig.bin_for`` / ``shard_of`` — and the
-derived replay loop must produce ``==``-identical results to the scalar
-loop end to end.
+the cache would otherwise call per request — ``hash_key`` /
+``class_for_size`` / ``PamaConfig.bin_for`` / ``shard_of``.  End-to-end
+replay results are pinned ``==``-exact in ``test_replay_differential``.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._util import MIB
 from repro.bloom.hashing import (PAIR_SEED_DELTA, hash_key, hash_key_array,
                                  hash_pair, hash_pair_arrays, key_shard,
                                  key_shard_array)
-from repro.cache import SlabCache, SizeClassConfig
+from repro.cache import SizeClassConfig
 from repro.cache.sizeclasses import InvalidItemError, ItemTooLargeError
 from repro.core.config import PamaConfig
-from repro.obs import TimelineRecorder
-from repro.policies import make_policy
-from repro.sim.derive import (class_index_array, derive_unsupported_reason,
-                              penalty_bin_array)
-from repro.sim.simulator import simulate
-from repro.traces.record import Trace
+from repro.sim.derive import class_index_array, penalty_bin_array
 
 INT64 = st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)
 
@@ -123,78 +115,3 @@ class TestShardParity:
         got = key_shard_array(np.array(keys, dtype=np.int64),
                               nshards).tolist()
         assert got == [key_shard(k, nshards) for k in keys]
-
-
-def _mixed_trace(n=20_000, seed=13):
-    rng = random.Random(seed)
-    ops, keys, ks, vs, pens = [], [], [], [], []
-    for _ in range(n):
-        r = rng.random()
-        ops.append(0 if r < 0.8 else (1 if r < 0.95 else 2))
-        keys.append(rng.randrange(3000))
-        ks.append(16)
-        vs.append(rng.choice((40, 200, 900, 3000, 70000)))
-        pens.append(rng.choice((0.0005, 0.005, 0.05, 0.5, 2.0)))
-    return Trace(np.array(ops, np.uint8), np.array(keys, np.int64),
-                 np.array(ks, np.int32), np.array(vs, np.int32),
-                 np.array(pens, np.float64))
-
-
-def _result_tuple(r):
-    return (r.total_gets, r.hit_ratio, r.avg_service_time, r.cache_stats,
-            r.final_class_slabs, r.final_queue_slabs,
-            [(w.index, w.gets, w.hits, w.penalty_sum, w.service_sum)
-             for w in r.windows])
-
-
-class TestDerivedReplayEquivalence:
-    @pytest.mark.parametrize("policy,kwargs", [
-        ("memcached", {}),
-        ("pre-pama", {"value_window": 5000}),
-        ("pama", {"value_window": 5000}),
-        ("pama", {"value_window": 5000, "tracker": "bloom"}),
-    ])
-    def test_forced_derive_matches_scalar(self, policy, kwargs):
-        trace = _mixed_trace()
-        out = {}
-        for derive in (False, True):
-            cache = SlabCache(4 * MIB, make_policy(policy, **kwargs),
-                              SizeClassConfig(slab_size=64 << 10))
-            out[derive] = _result_tuple(
-                simulate(trace, cache, window_gets=5000, derive=derive))
-        assert out[False] == out[True]
-
-
-class TestDeriveGating:
-    def _cache(self, policy="pama", **kwargs):
-        kwargs.setdefault("value_window", 5000)
-        return SlabCache(4 * MIB, make_policy(policy, **kwargs),
-                         SizeClassConfig(slab_size=64 << 10))
-
-    def test_supported_for_static_bins(self):
-        cache = self._cache()
-        assert derive_unsupported_reason(cache, cache.policy) is None
-
-    def test_adaptive_policy_falls_back(self):
-        cache = self._cache(policy="pama-adaptive")
-        reason = derive_unsupported_reason(cache, cache.policy)
-        assert reason is not None and "dynamically" in reason
-        with pytest.raises(ValueError, match="derive pass unavailable"):
-            simulate(_mixed_trace(500), cache, derive=True)
-
-    def test_timeline_forces_scalar_loop(self):
-        cache = self._cache()
-        with pytest.raises(ValueError, match="timeline"):
-            simulate(_mixed_trace(500), cache, derive=True,
-                     timeline=TimelineRecorder(stride=100))
-
-    def test_auto_derive_requires_key_hashes(self):
-        # Hash-free policies stay scalar on auto: the derive pass only
-        # pays for itself when it eliminates per-request hashing.
-        exact = self._cache()
-        bloom = self._cache(tracker="bloom")
-        assert not exact._wants_hashes
-        assert bloom._wants_hashes
-        # Both supported when forced; equivalence is pinned above.
-        assert derive_unsupported_reason(exact, exact.policy) is None
-        assert derive_unsupported_reason(bloom, bloom.policy) is None

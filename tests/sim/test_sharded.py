@@ -194,7 +194,7 @@ class TestTenantRejection:
         # arbiter is constructed directly in real use, so route the
         # probe to one to pin the engine's rejection path.
         arbiter = TenantArbiter(2)
-        assert getattr(arbiter, "wants_tenants", False)
+        assert arbiter.wants_tenants
         import repro.sim.sharded as sharded_mod
         monkeypatch.setattr(sharded_mod, "make_policy",
                             lambda name, **kw: arbiter)
